@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-diff check docs-check
+.PHONY: build vet test race bench bench-diff check docs-check fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -76,8 +76,15 @@ docs-check:
 		internal/core internal/relational internal/fselect internal/telemetry \
 		internal/obsrv internal/lake internal/serve internal/frame internal/sketch .
 
+# fuzz-smoke runs each native fuzz target briefly past its committed
+# seed corpus (testdata/fuzz/), so a target that no longer builds or
+# fails on new inputs breaks the gate.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCorrectedMutualInformation$$' -fuzztime 10s ./internal/stats
+
 # check is the tier-1 verification gate (see ROADMAP.md).
 check: docs-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(MAKE) fuzz-smoke

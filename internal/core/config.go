@@ -106,8 +106,9 @@ type Config struct {
 	// KeyCache, when non-nil, is the join-key index cache the run uses
 	// instead of a fresh per-run cache: right-side key→row indexes built
 	// for one run are then reused by every later run sharing the cache.
-	// A resident Lake session injects its lake-wide cache here so warm
-	// discoveries skip the index builds entirely. The cache keys on
+	// A resident Lake session injects a handle on its lake-wide cache
+	// here (see KeyIndexCache.Pin) so warm discoveries skip the index
+	// builds entirely. The cache keys on
 	// column identity, so sharing is only effective (and only safe)
 	// while the graph's tables stay resident and immutable — both
 	// guaranteed by the Lake. Nil — the default — keeps the per-run

@@ -794,18 +794,22 @@ func (l *Lake) patchEdges(g *graph.Graph, f *frame.Frame, eff settings) error {
 // cache. It is the session-aware equivalent of the deprecated
 // package-level NewDiscovery.
 func (l *Lake) NewDiscovery(base, label string, cfg core.Config, opts ...Option) (*core.Discovery, error) {
+	cache := l.cache.Pin()
 	g, _, err := l.drg(l.resolve(opts))
 	if err != nil {
 		return nil, err
 	}
-	return l.discoveryOn(g, base, label, cfg)
+	return discoveryOn(g, base, label, cfg, cache)
 }
 
 // discoveryOn builds a core.Discovery over g with the Lake's shared
-// cache injected (unless the caller supplied its own).
-func (l *Lake) discoveryOn(g *graph.Graph, base, label string, cfg core.Config) (*core.Discovery, error) {
+// cache injected (unless the caller supplied its own). cache is a handle
+// pinned before g was resolved, so a run over a graph that a table
+// mutation has since replaced cannot re-insert indexes the mutation
+// evicted.
+func discoveryOn(g *graph.Graph, base, label string, cfg core.Config, cache *relational.KeyIndexCache) (*core.Discovery, error) {
 	if cfg.KeyCache == nil {
-		cfg.KeyCache = l.cache
+		cfg.KeyCache = cache
 	}
 	return core.New(g, base, label, cfg)
 }
@@ -865,6 +869,7 @@ func (l *Lake) Discover(ctx context.Context, req Request) (*Result, error) {
 	if req.Threshold > 0 {
 		opts = append(opts, WithThreshold(req.Threshold))
 	}
+	cache := l.cache.Pin()
 	g, warm, err := l.drg(l.resolve(opts))
 	if err != nil {
 		return nil, err
@@ -881,7 +886,7 @@ func (l *Lake) Discover(ctx context.Context, req Request) (*Result, error) {
 		}
 		factory = f
 	}
-	d, err := l.discoveryOn(g, req.Base, req.Label, cfg)
+	d, err := discoveryOn(g, req.Base, req.Label, cfg, cache)
 	if err != nil {
 		return nil, err
 	}

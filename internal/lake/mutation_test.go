@@ -8,9 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"autofeat/internal/core"
 	"autofeat/internal/datagen"
 	"autofeat/internal/errs"
 	"autofeat/internal/frame"
+	"autofeat/internal/fselect"
 	"autofeat/internal/graph"
 	"autofeat/internal/relational"
 )
@@ -368,4 +370,85 @@ func seq(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// blockingRelevance is Spearman relevance whose first call signals
+// started and then waits for release, holding a discovery mid-run.
+type blockingRelevance struct {
+	fselect.SpearmanRelevance
+	once             *sync.Once
+	started, release chan struct{}
+}
+
+func (b blockingRelevance) Scores(cols [][]float64, y []int) []float64 {
+	b.once.Do(func() {
+		close(b.started)
+		<-b.release
+	})
+	return b.SpearmanRelevance.Scores(cols, y)
+}
+
+// TestReplaceDuringDiscoverLeavesNoStaleIndexes: a discovery that took
+// its graph snapshot before a ReplaceTable keeps joining the old tables.
+// Its key-index misses must not re-insert indexes over the evicted
+// columns, which nothing would evict again: afterwards the cache holds
+// exactly what a fresh lake over the new tables holds.
+func TestReplaceDuringDiscoverLeavesNoStaleIndexes(t *testing.T) {
+	ds := genDS(t)
+	l := New(ds.Tables)
+	rel := blockingRelevance{once: new(sync.Once), started: make(chan struct{}), release: make(chan struct{})}
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	cfg.Relevance = rel
+	req := Request{Base: ds.Base.Name(), Label: ds.Label, Config: &cfg}
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.Discover(context.Background(), req)
+		done <- err
+	}()
+	<-rel.started
+
+	// Replace every non-base table with a copy built from new columns.
+	var oldCols []*frame.Column
+	newTabs := make([]*frame.Frame, len(ds.Tables))
+	for i, old := range ds.Tables {
+		newTabs[i] = old
+		if old.Name() == ds.Base.Name() {
+			continue
+		}
+		repl := frame.New(old.Name())
+		for _, c := range old.Columns() {
+			if err := repl.AddColumn(c.Take(seq(c.Len())).WithName(c.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.ReplaceTable(repl); err != nil {
+			t.Fatal(err)
+		}
+		oldCols = append(oldCols, old.Columns()...)
+		newTabs[i] = repl
+	}
+	close(rel.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range oldCols {
+		if l.KeyCache().Peek(c, false) != nil || l.KeyCache().Peek(c, true) != nil {
+			t.Fatalf("a key index over replaced column %q is resident after the run", c.Name())
+		}
+	}
+
+	plain := core.DefaultConfig()
+	plain.Workers = 1
+	req.Config = &plain
+	if _, err := l.Discover(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(newTabs)
+	if _, err := fresh.Discover(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.CacheSize(), fresh.CacheSize(); got != want {
+		t.Fatalf("cache holds %d key indexes after a replace during discovery, a fresh lake %d", got, want)
+	}
 }

@@ -10,7 +10,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Mean returns the arithmetic mean of the non-NaN entries, or NaN if none.
@@ -95,7 +95,17 @@ func Ranks(x []float64) []float64 {
 			vals = append(vals, iv{i, v})
 		}
 	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+	slices.SortFunc(vals, func(a, b iv) int {
+		// Plain comparisons: NaN never reaches the sort, and cmp.Compare
+		// would pay for its NaN ordering on every comparison.
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
 	out := make([]float64, len(x))
 	for i := range out {
 		out[i] = math.NaN()
@@ -131,7 +141,7 @@ func Spearman(x, y []float64) float64 {
 // commonPrefix truncates both slices to the shorter length. Length
 // mismatches only arise from corrupt input; degrading to the shared rows
 // keeps the estimators total (no panics on user-reachable paths).
-func commonPrefix(x, y []float64) ([]float64, []float64) {
+func commonPrefix[T any](x, y []T) ([]T, []T) {
 	if len(x) == len(y) {
 		return x, y
 	}
@@ -203,35 +213,36 @@ func Discretize(x []float64, bins int) []int {
 	if bins < 2 {
 		bins = 2
 	}
-	distinct := make(map[float64]struct{}, bins+1)
+	// distinct holds the sorted distinct values seen, up to bins+1 of them:
+	// one more than bins already marks the column as continuous.
+	var stack [DefaultBins + 1]float64
+	distinct := stack[:0]
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range x {
 		if math.IsNaN(v) {
 			continue
 		}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
+		// Plain comparisons, unlike math.Min/Max, may keep +0 over -0 as
+		// a bound; no code depends on a zero bound's sign.
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 		if len(distinct) <= bins {
-			distinct[v] = struct{}{}
+			if i := searchLevels(distinct, v); i == len(distinct) || distinct[i] != v {
+				distinct = slices.Insert(distinct, i, v)
+			}
 		}
 	}
 	out := make([]int, len(x))
 	if len(distinct) <= bins {
 		// Already discrete: stable code per sorted distinct value.
-		vals := make([]float64, 0, len(distinct))
-		for v := range distinct {
-			vals = append(vals, v)
-		}
-		sort.Float64s(vals)
-		code := make(map[float64]int, len(vals))
-		for i, v := range vals {
-			code[v] = i
-		}
 		for i, v := range x {
-			if math.IsNaN(v) {
-				out[i] = -1
-			} else {
-				out[i] = code[v]
+			out[i] = -1
+			if !math.IsNaN(v) {
+				out[i] = searchLevels(distinct, v)
 			}
 		}
 		return out
@@ -254,31 +265,50 @@ func Discretize(x []float64, bins int) []int {
 	return out
 }
 
+// searchLevels returns the index of the first of the sorted levels that
+// is not below v. Unlike slices.BinarySearch it compares with plain <,
+// which is all a NaN-free search needs and costs a fraction as much.
+func searchLevels(levels []float64, v float64) int {
+	lo, hi := 0, len(levels)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if levels[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // Entropy returns the Shannon entropy (nats) of the discrete variable x.
 // Codes < 0 (missing) are skipped.
 func Entropy(x []int) float64 {
-	counts := make(map[int]int, 16)
+	lo, w, ok := codeRange(x)
+	if !ok || !fits(w, len(x)) {
+		x, w = compact(x)
+		lo = 0
+	}
+	var stack [stackCells]int
+	counts := scratch(stack[:], w)
 	n := 0
 	for _, v := range x {
 		if v >= 0 {
-			counts[v]++
+			counts[v-lo]++
 			n++
 		}
 	}
 	if n == 0 {
 		return 0
 	}
-	// Sum in sorted-key order: float addition is not associative, and map
-	// iteration order would make results differ between identical runs.
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+	// Sum in ascending code order: float addition is not associative, and
+	// a fixed order keeps results identical between runs.
 	h := 0.0
-	for _, k := range keys {
-		p := float64(counts[k]) / float64(n)
-		h -= p * math.Log(p)
+	for _, c := range counts {
+		if c > 0 {
+			p := float64(c) / float64(n)
+			h -= p * math.Log(p)
+		}
 	}
 	return h
 }
@@ -288,47 +318,7 @@ func Entropy(x []int) float64 {
 // variables; this is the paper's "information gain" relevance metric.
 // Mismatched lengths degrade to the common prefix instead of panicking.
 func MutualInformation(x, y []int) float64 {
-	if n := min(len(x), len(y)); n != len(x) || n != len(y) {
-		x, y = x[:n], y[:n]
-	}
-	joint := make(map[[2]int]int, 64)
-	mx := make(map[int]int, 16)
-	my := make(map[int]int, 16)
-	n := 0
-	for i := range x {
-		if x[i] < 0 || y[i] < 0 {
-			continue
-		}
-		joint[[2]int{x[i], y[i]}]++
-		mx[x[i]]++
-		my[y[i]]++
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	fn := float64(n)
-	// Deterministic summation order (see Entropy).
-	keys := make([][2]int, 0, len(joint))
-	for k := range joint {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	mi := 0.0
-	for _, k := range keys {
-		pxy := float64(joint[k]) / fn
-		px := float64(mx[k[0]]) / fn
-		py := float64(my[k[1]]) / fn
-		mi += pxy * math.Log(pxy/(px*py))
-	}
-	if mi < 0 {
-		mi = 0 // floating point guard; MI is non-negative
-	}
+	mi, _, _, _ := mutualInfo(x, y)
 	return mi
 }
 
@@ -336,10 +326,9 @@ func MutualInformation(x, y []int) float64 {
 // estimate: the maximum-likelihood estimator overestimates by roughly
 // (kx−1)(ky−1)/(2n) nats, which matters when many near-independent feature
 // pairs are compared (the MRMR penalty term sums exactly such pairs).
-// Clamped at zero.
+// Clamped at zero. Mismatched lengths degrade to the common prefix.
 func CorrectedMutualInformation(x, y []int) float64 {
-	mi := MutualInformation(x, y)
-	kx, ky, n := jointSupport(x, y)
+	mi, kx, ky, n := mutualInfo(x, y)
 	if n == 0 {
 		return 0
 	}
@@ -352,11 +341,11 @@ func CorrectedMutualInformation(x, y []int) float64 {
 
 // CorrectedConditionalMutualInformation applies the Miller–Madow-style
 // correction to I(X;Y|Z): the bias grows with the number of conditioning
-// strata, approximately (kx−1)(ky−1)·kz/(2n). Clamped at zero.
+// strata, approximately (kx−1)(ky−1)·kz/(2n), where kx, ky and n count
+// the rows with x and y present and kz the strata with z present.
+// Clamped at zero. Mismatched lengths degrade to the common prefix.
 func CorrectedConditionalMutualInformation(x, y, z []int) float64 {
-	cmi := ConditionalMutualInformation(x, y, z)
-	kx, ky, n := jointSupport(x, y)
-	kz := supportSize(z)
+	cmi, kx, ky, n, kz := condMutualInfo(x, y, z)
 	if n == 0 || kz == 0 {
 		return 0
 	}
@@ -367,69 +356,12 @@ func CorrectedConditionalMutualInformation(x, y, z []int) float64 {
 	return cmi
 }
 
-// jointSupport returns the observed support sizes of x and y and the
-// number of complete (non-missing) rows.
-func jointSupport(x, y []int) (kx, ky, n int) {
-	sx := make(map[int]struct{}, 16)
-	sy := make(map[int]struct{}, 16)
-	for i := range x {
-		if x[i] < 0 || y[i] < 0 {
-			continue
-		}
-		sx[x[i]] = struct{}{}
-		sy[y[i]] = struct{}{}
-		n++
-	}
-	return len(sx), len(sy), n
-}
-
-func supportSize(z []int) int {
-	s := make(map[int]struct{}, 16)
-	for _, v := range z {
-		if v >= 0 {
-			s[v] = struct{}{}
-		}
-	}
-	return len(s)
-}
-
 // ConditionalMutualInformation returns I(X;Y|Z) in nats for discrete
 // variables: sum_z p(z) * I(X;Y | Z=z). Rows with any negative code are
 // skipped. Mismatched lengths degrade to the common prefix instead of
 // panicking.
 func ConditionalMutualInformation(x, y, z []int) float64 {
-	if n := min(len(x), min(len(y), len(z))); n != len(x) || n != len(y) || n != len(z) {
-		x, y, z = x[:n], y[:n], z[:n]
-	}
-	// Group rows by z, then compute MI within each group.
-	groups := make(map[int][]int, 8)
-	n := 0
-	for i := range x {
-		if x[i] < 0 || y[i] < 0 || z[i] < 0 {
-			continue
-		}
-		groups[z[i]] = append(groups[z[i]], i)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	zs := make([]int, 0, len(groups))
-	for z := range groups {
-		zs = append(zs, z)
-	}
-	sort.Ints(zs)
-	cmi := 0.0
-	for _, zv := range zs {
-		rows := groups[zv]
-		gx := make([]int, len(rows))
-		gy := make([]int, len(rows))
-		for j, i := range rows {
-			gx[j] = x[i]
-			gy[j] = y[i]
-		}
-		cmi += float64(len(rows)) / float64(n) * MutualInformation(gx, gy)
-	}
+	cmi, _, _, _, _ := condMutualInfo(x, y, z)
 	return cmi
 }
 

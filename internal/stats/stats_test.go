@@ -415,4 +415,20 @@ func TestSpearmanPairwiseMismatchDegrades(t *testing.T) {
 	if got := ConditionalMutualInformation([]int{0, 1}, []int{0, 1, 0}, []int{0}); got != 0 {
 		t.Fatalf("mismatched CMI = %v, want 0", got)
 	}
+	// A shorter y once indexed past its end in the support count.
+	if got, want := CorrectedMutualInformation([]int{0, 1, 0, 1}, []int{0, 1}), CorrectedMutualInformation([]int{0, 1}, []int{0, 1}); got != want {
+		t.Fatalf("mismatched corrected MI = %v, want the common-prefix value %v", got, want)
+	}
+	if got := CorrectedMutualInformation([]int{0, 1, 2}, nil); got != 0 {
+		t.Fatalf("corrected MI against an empty y = %v, want 0", got)
+	}
+	// z's strata beyond the common prefix must not enter the correction.
+	x, y := []int{0, 1, 0, 1, 0, 1}, []int{0, 1, 0, 1, 0, 1}
+	long := []int{0, 0, 0, 0, 0, 0, 1, 2, 3}
+	if got, want := CorrectedConditionalMutualInformation(x, y, long), CorrectedConditionalMutualInformation(x, y, long[:6]); got != want {
+		t.Fatalf("corrected CMI with a longer z = %v, want the common-prefix value %v", got, want)
+	}
+	if got := CorrectedConditionalMutualInformation(x, y[:2], long); got < 0 {
+		t.Fatalf("corrected CMI with a short y = %v, want >= 0", got)
+	}
 }

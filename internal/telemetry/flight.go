@@ -50,6 +50,8 @@ func (f *FlightRecorder) Cap() int {
 	if f == nil {
 		return 0
 	}
+	f.mu.Lock() // ObserveSpan reassigns the slice header while filling
+	defer f.mu.Unlock()
 	return cap(f.ring)
 }
 

@@ -240,6 +240,26 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCapDuringWrites: /debug/flight reads Cap while runs
+// append spans; under -race the two must not touch the ring unordered.
+func TestFlightRecorderCapDuringWrites(t *testing.T) {
+	f := NewFlightRecorder(64)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			f.ObserveSpan(SpanRecord{ID: i})
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if c := f.Cap(); c != 64 {
+			t.Fatalf("Cap = %d during writes, want 64", c)
+		}
+	}
+	wg.Wait()
+}
+
 func TestStartSpanNilSafety(t *testing.T) {
 	var tr *Tracer
 	ctx, sp := tr.StartSpan(nil, "x") //nolint:staticcheck // nil ctx tolerated by design

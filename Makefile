@@ -81,6 +81,7 @@ docs-check:
 # fails on new inputs breaks the gate.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectedMutualInformation$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/telemetry
 
 # check is the tier-1 verification gate (see ROADMAP.md).
 check: docs-check

@@ -476,7 +476,7 @@ func run(o runOpts) error {
 	}
 	pr := res.Ranking.Prune
 	fmt.Printf("\nranked join paths (top %d of %d, explored %d, pruned %d):\n",
-		nPaths, len(res.Ranking.Paths), res.Ranking.PathsExplored, res.Ranking.PathsPruned)
+		nPaths, len(res.Ranking.Paths), res.Ranking.PathsExplored, res.Ranking.Prune.Discarded())
 	fmt.Printf("pruning: similarity %d, join_failed %d, quality_below_tau %d, beam_evicted %d, max_paths_cap %d, budget_exhausted %d, cancelled %d\n",
 		pr.Similarity, pr.JoinFailed, pr.QualityBelowTau, pr.BeamEvicted, pr.MaxPathsCap, pr.BudgetExhausted, pr.Cancelled)
 	for i, p := range res.Ranking.TopK(nPaths) {

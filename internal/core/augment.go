@@ -111,6 +111,8 @@ func (d *Discovery) EvaluateRankingContext(ctx context.Context, ranking *Ranking
 
 	tr := d.cfg.Telemetry.Trace()
 	prog := d.cfg.Progress
+	rec := &recorder{prog: prog, mx: d.cfg.Telemetry.Meter(),
+		partial: &res.Partial, reason: &res.PartialReason}
 	lg := d.cfg.log()
 	bestAcc := -1.0
 	for i, p := range candidates {
@@ -121,8 +123,7 @@ func (d *Discovery) EvaluateRankingContext(ctx context.Context, ranking *Ranking
 		if i == 0 {
 			candCtx = context.WithoutCancel(ctx)
 		} else if err := ctx.Err(); err != nil {
-			markPartialResult(res, partialReason(err))
-			prog.MarkPartial(res.PartialReason)
+			rec.stop(partialReason(err))
 			lg.Warn("evaluation stopped early", "reason", res.PartialReason, "evaluated", len(res.Evaluated), "candidates", len(candidates))
 			break
 		}
@@ -133,8 +134,7 @@ func (d *Discovery) EvaluateRankingContext(ctx context.Context, ranking *Ranking
 		matSpan.End()
 		if err != nil {
 			if errors.Is(err, errs.ErrCancelled) {
-				markPartialResult(res, partialReason(ctx.Err()))
-				prog.MarkPartial(res.PartialReason)
+				rec.stop(partialReason(ctx.Err()))
 				lg.Warn("materialisation cancelled", "reason", res.PartialReason, "evaluated", len(res.Evaluated))
 				break
 			}
@@ -159,26 +159,12 @@ func (d *Discovery) EvaluateRankingContext(ctx context.Context, ranking *Ranking
 		}
 	}
 	res.TotalTime = ranking.SelectionTime + time.Since(start)
-	if res.Partial && !ranking.Partial {
-		// A partial ranking already counted itself in RunContext; only an
-		// evaluation-phase stop adds a new partial run.
-		d.cfg.Telemetry.Meter().Inc(telemetry.CtrPartialRuns)
-	}
 	prog.Finish()
 	lg.Info("augmentation finished",
 		"evaluated", len(res.Evaluated), "best_model", res.Best.Eval.Model,
 		"best_accuracy", res.Best.Eval.Accuracy, "partial", res.Partial,
 		"total_time", res.TotalTime)
 	return res, nil
-}
-
-// markPartialResult flags the result Partial under reason, first cause
-// winning — the evaluation-phase counterpart of markPartial.
-func markPartialResult(res *AugmentResult, reason string) {
-	if !res.Partial {
-		res.Partial = true
-		res.PartialReason = reason
-	}
 }
 
 // MaterializePath joins the full base table along the path with no

@@ -164,7 +164,7 @@ func TestRunPrunesLowQualityJoin(t *testing.T) {
 			}
 		}
 	}
-	if r.PathsPruned == 0 {
+	if r.Prune.Discarded() == 0 {
 		t.Fatal("the junk join must be counted as pruned")
 	}
 	if r.PathsExplored <= len(r.Paths) {
@@ -517,8 +517,8 @@ func TestPruneStatsBreakdown(t *testing.T) {
 	if got, want := r.Prune.Discarded(), r.PathsExplored-len(r.Paths); got != want {
 		t.Fatalf("Discarded() = %d, want PathsExplored-len(Paths) = %d (%+v)", got, want, r.Prune)
 	}
-	if r.PathsPruned != r.Prune.Discarded() {
-		t.Fatalf("PathsPruned (%d) must stay the sum of discard reasons (%d)", r.PathsPruned, r.Prune.Discarded())
+	if sum := r.Prune.JoinFailed + r.Prune.QualityBelowTau; r.Prune.Discarded() != sum {
+		t.Fatalf("Discarded() (%d) must stay the sum of discard reasons (%d)", r.Prune.Discarded(), sum)
 	}
 	if r.Prune.Total() < r.Prune.Discarded() {
 		t.Fatalf("Total() must include every reason: %+v", r.Prune)

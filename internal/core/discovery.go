@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,15 +49,10 @@ func New(g *graph.Graph, base, label string, cfg Config) (*Discovery, error) {
 	return &Discovery{cfg: cfg, g: g, baseName: base, label: base + "." + label}, nil
 }
 
-// PruneStats breaks the pruning work of one run down by reason.
-//
-// JoinFailed and QualityBelowTau discard joins that were evaluated, so
-// JoinFailed + QualityBelowTau == PathsExplored - len(Paths) always
-// holds. Similarity, BeamEvicted and MaxPathsCap truncate the search
-// space around the evaluated joins: similarity-pruned edges are never
-// evaluated, beam-evicted states keep their ranked path but are not
-// expanded further, and MaxPathsCap counts frontier edges skipped once
-// the MaxPaths cap fired.
+// PruneStats breaks the pruning work of one run down by reason: one
+// field per telemetry.PruneReasons entry, in list order. JoinFailed and
+// QualityBelowTau discard evaluated joins (see Discarded); the other
+// reasons truncate the search space around them.
 type PruneStats struct {
 	// Similarity counts parallel edges discarded by similarity-score
 	// pruning (Section IV-C, first strategy) before evaluation.
@@ -85,13 +81,26 @@ type PruneStats struct {
 }
 
 // Discarded is the number of evaluated joins that were discarded —
-// exactly PathsExplored - len(Paths), the old PathsPruned semantics.
+// exactly PathsExplored - len(Paths).
 func (p PruneStats) Discarded() int { return p.JoinFailed + p.QualityBelowTau }
 
 // Total sums every reason, including search-space truncation.
-func (p PruneStats) Total() int {
-	return p.Similarity + p.JoinFailed + p.QualityBelowTau + p.BeamEvicted +
-		p.MaxPathsCap + p.BudgetExhausted + p.Cancelled
+func (p PruneStats) Total() (n int) {
+	for _, c := range p.cells() {
+		n += *c
+	}
+	return n
+}
+
+// cells lists the breakdown's counters in telemetry.PruneReasons order.
+func (p *PruneStats) cells() [len(telemetry.PruneReasons)]*int {
+	return [...]*int{&p.Similarity, &p.JoinFailed, &p.QualityBelowTau,
+		&p.BeamEvicted, &p.MaxPathsCap, &p.BudgetExhausted, &p.Cancelled}
+}
+
+// count returns the counter of a telemetry pruning reason.
+func (p *PruneStats) count(reason string) *int {
+	return p.cells()[slices.Index(telemetry.PruneReasons[:], reason)]
 }
 
 // Ranking is the output of the discovery phase: join paths ordered by
@@ -109,11 +118,8 @@ type Ranking struct {
 	Paths []RankedPath
 	// PathsExplored counts every join evaluated, including pruned ones.
 	PathsExplored int
-	// PathsPruned counts joins discarded by the two pruning strategies —
-	// kept as Prune.Discarded() for backward compatibility; Prune holds
-	// the per-reason breakdown.
-	PathsPruned int
-	// Prune is the by-reason pruning breakdown of this run.
+	// Prune is the by-reason pruning breakdown of this run;
+	// Prune.Discarded() counts the evaluated joins it pruned.
 	Prune PruneStats
 	// SelectionTime is the wall-clock feature-discovery time — the
 	// efficiency metric of Section VII ("feature selection time").
@@ -141,6 +147,85 @@ func (r *Ranking) TopK(k int) []RankedPath {
 		k = len(r.Paths)
 	}
 	return r.Paths[:k]
+}
+
+// recorder is the one source of a run's facts. RunContext and
+// EvaluateRankingContext report each fact to it exactly once, and it
+// writes the result and the live RunProgress together; the discovery
+// counters are flushed from the finished Ranking. Ranking.Prune,
+// Manifest.Pruned, the telemetry registry and RunStatus therefore agree.
+type recorder struct {
+	rank *Ranking // nil during evaluation, which folds no joins
+	prog *obsrv.RunProgress
+	mx   *telemetry.Metrics
+	// partial and reason are the flags a stop sets: the Ranking's during
+	// discovery, the AugmentResult's during evaluation.
+	partial    *bool
+	reason     *string
+	rowsJoined int64 // joined-row budget consumed so far
+}
+
+// prune counts n candidates discarded under reason.
+func (r *recorder) prune(reason string, n int) {
+	*r.rank.Prune.count(reason) += n
+	r.prog.AddPruned(reason, n)
+}
+
+// fold records one evaluated join in job order: child's path joins the
+// ranking when reason is empty, and the join is pruned under reason
+// otherwise.
+func (r *recorder) fold(child *state, reason string) {
+	r.rank.PathsExplored++
+	r.prog.JoinFolded(reason)
+	if reason != "" {
+		*r.rank.Prune.count(reason)++
+		return
+	}
+	r.rank.Paths = append(r.rank.Paths, RankedPath{
+		Edges:     child.edges,
+		Score:     computeScore(child.relScores, child.redScores),
+		Features:  child.features,
+		RelScores: child.relScores,
+		RedScores: child.redScores,
+		Quality:   child.quality,
+		Qualities: child.qualities,
+	})
+}
+
+// joined consumes n rows of the MaxJoinedRows budget.
+func (r *recorder) joined(n int64) {
+	r.rowsJoined += n
+	r.prog.AddRowsJoined(n)
+}
+
+// workers records the resolved worker-pool size.
+func (r *recorder) workers(n int) {
+	r.mx.SetGauge(telemetry.GaugeWorkers, float64(n))
+	r.prog.SetWorkers(n)
+}
+
+// stop flags the run partial under reason. The first cause wins and is
+// the one counted under partial_runs; an evaluation inherits a partial
+// Ranking's flag, so no run is counted twice.
+func (r *recorder) stop(reason string) {
+	r.prog.MarkPartial(reason)
+	if *r.partial {
+		return
+	}
+	*r.partial, *r.reason = true, reason
+	r.mx.Inc(telemetry.CtrPartialRuns)
+}
+
+// flush publishes the finished Ranking to the telemetry registry.
+func (r *recorder) flush() {
+	for i, n := range r.rank.Prune.cells() {
+		if *n > 0 {
+			r.mx.Add(telemetry.PrunedCounter(telemetry.PruneReasons[i]), int64(*n))
+		}
+	}
+	r.mx.Add(telemetry.CtrPathsExplored, int64(r.rank.PathsExplored))
+	r.mx.Add(telemetry.CtrPathsKept, int64(len(r.rank.Paths)))
+	r.mx.SetGauge(telemetry.GaugeSelectionSeconds, r.rank.SelectionTime.Seconds())
 }
 
 // state is one BFS frontier entry: a materialised (sampled) join result
@@ -199,7 +284,6 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		defer cancel()
 	}
 	tr := d.cfg.Telemetry.Trace()
-	mx := d.cfg.Telemetry.Meter()
 	prog := d.cfg.Progress
 	lg := d.cfg.log()
 	// The run span joins the caller's trace when ctx carries one (an
@@ -243,12 +327,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		return nil, err
 	}
 
-	baseFeatures := make([]string, 0, sample.NumCols()-1)
-	for _, name := range base.ColumnNames() {
-		if name != d.label {
-			baseFeatures = append(baseFeatures, name)
-		}
-	}
+	baseFeatures := d.baseFeaturesOf(base)
 	// R_sel starts as the base table's features (Section VI).
 	selected := make([][]float64, 0, len(baseFeatures))
 	for _, name := range baseFeatures {
@@ -264,6 +343,8 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	}
 
 	rank := &Ranking{Base: base, BaseFeatures: baseFeatures, Label: d.label}
+	rec := &recorder{rank: rank, prog: prog, mx: d.cfg.Telemetry.Meter(),
+		partial: &rank.Partial, reason: &rank.PartialReason}
 	frontier := []*state{{
 		node:    d.baseName,
 		f:       sample,
@@ -277,8 +358,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	runSpan.SetInt("workers", workers)
-	mx.SetGauge(telemetry.GaugeWorkers, float64(workers))
-	prog.SetWorkers(workers)
+	rec.workers(workers)
 	prog.SetPhase(obsrv.PhaseDiscover)
 	// cache memoises right-side key indexes across the run: every join
 	// against the same (table column, normalisation seed) reuses the
@@ -295,13 +375,9 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	// the active frontier is then only counted, never evaluated, and the
 	// traversal does not descend another level.
 	capped := false
-	// rowsJoined tracks the cumulative joined-row budget (left rows per
-	// evaluated join — left joins preserve row count, so the cost of a
-	// join is known before evaluating it).
-	var rowsJoined int64
 	for depth := 0; depth < d.cfg.MaxDepth && len(frontier) > 0 && !capped; depth++ {
 		if err := ctx.Err(); err != nil {
-			markPartial(rank, prog, partialReason(err))
+			rec.stop(partialReason(err))
 			break
 		}
 		dctx, depthSpan := tr.StartSpan(ctx, telemetry.SpanDepth)
@@ -328,9 +404,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 				enumSpan.SetStr("to", nb)
 				enumSpan.SetInt("edges", len(edges))
 				enumSpan.End()
-				rank.Prune.Similarity += simPruned
-				mx.Add(telemetry.PrunedCounter(telemetry.PruneSimilarity), int64(simPruned))
-				prog.AddPruned(telemetry.PruneSimilarity, simPruned)
+				rec.prune(telemetry.PruneSimilarity, simPruned)
 				for _, e := range edges {
 					jobs = append(jobs, job{st: st, e: e})
 				}
@@ -343,56 +417,41 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		// traversal would evaluate the first `allowed` candidates of this
 		// depth and count the rest as MaxPathsCap.
 		allowed := len(jobs)
-		if d.cfg.MaxPaths > 0 {
-			if room := d.cfg.MaxPaths - rank.PathsExplored; room < allowed {
-				if room < 0 {
-					room = 0
-				}
-				capped = true
-				skipped := allowed - room
-				allowed = room
-				rank.Prune.MaxPathsCap += skipped
-				mx.Add(telemetry.PrunedCounter(telemetry.PruneMaxPathsCap), int64(skipped))
-				prog.AddPruned(telemetry.PruneMaxPathsCap, skipped)
+		// clamp keeps the first keep candidates and counts the rest under
+		// reason; a non-empty stop also flags the ranking Partial.
+		clamp := func(keep int, reason, stop string) {
+			keep = max(keep, 0)
+			capped = true
+			rec.prune(reason, allowed-keep)
+			allowed = keep
+			if stop != "" {
+				rec.stop(stop)
 			}
+		}
+		if room := d.cfg.MaxPaths - rank.PathsExplored; d.cfg.MaxPaths > 0 && room < allowed {
+			clamp(room, telemetry.PruneMaxPathsCap, "")
 		}
 
 		// Apply the budgets the same way — positionally, in enumeration
 		// order, so the surviving prefix is identical at every worker
 		// count. Unlike MaxPaths (a search-space safety valve), an
 		// exhausted budget flags the ranking Partial.
-		if d.cfg.MaxEvalJoins > 0 {
-			if room := d.cfg.MaxEvalJoins - rank.PathsExplored; room < allowed {
-				if room < 0 {
-					room = 0
-				}
-				capped = true
-				skipped := allowed - room
-				allowed = room
-				rank.Prune.BudgetExhausted += skipped
-				mx.Add(telemetry.PrunedCounter(telemetry.PruneBudgetExhausted), int64(skipped))
-				prog.AddPruned(telemetry.PruneBudgetExhausted, skipped)
-				markPartial(rank, prog, "max_eval_joins")
-			}
+		if room := d.cfg.MaxEvalJoins - rank.PathsExplored; d.cfg.MaxEvalJoins > 0 && room < allowed {
+			clamp(room, telemetry.PruneBudgetExhausted, "max_eval_joins")
 		}
+		// The joined-row budget charges each join its left rows: left
+		// joins preserve row count, so the cost is known before evaluating.
 		if d.cfg.MaxJoinedRows > 0 {
 			fit := 0
 			for ; fit < allowed; fit++ {
 				rows := int64(jobs[fit].st.f.NumRows())
-				if rowsJoined+rows > d.cfg.MaxJoinedRows {
+				if rec.rowsJoined+rows > d.cfg.MaxJoinedRows {
 					break
 				}
-				rowsJoined += rows
-				prog.AddRowsJoined(rows)
+				rec.joined(rows)
 			}
 			if fit < allowed {
-				capped = true
-				skipped := allowed - fit
-				allowed = fit
-				rank.Prune.BudgetExhausted += skipped
-				mx.Add(telemetry.PrunedCounter(telemetry.PruneBudgetExhausted), int64(skipped))
-				prog.AddPruned(telemetry.PruneBudgetExhausted, skipped)
-				markPartial(rank, prog, "max_joined_rows")
+				clamp(fit, telemetry.PruneBudgetExhausted, "max_joined_rows")
 			}
 		}
 		prog.SetDepthCandidates(allowed)
@@ -431,7 +490,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 				joinSpan.SetStr("pruned", reason)
 			}
 			joinSpan.End()
-			prog.JoinDone(reason)
+			prog.JoinDone()
 			outcomes[i] = outcome{child: child, reason: reason}
 			return true
 		}
@@ -469,10 +528,8 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		// paths — that is what makes the partial result bit-identical at
 		// every worker count.
 		if err := ctx.Err(); err != nil {
-			rank.Prune.Cancelled += allowed
-			mx.Add(telemetry.PrunedCounter(telemetry.PruneCancelled), int64(allowed))
-			prog.AddPruned(telemetry.PruneCancelled, allowed)
-			markPartial(rank, prog, partialReason(err))
+			rec.prune(telemetry.PruneCancelled, allowed)
+			rec.stop(partialReason(err))
 			depthSpan.SetStr("discarded", partialReason(err))
 			depthSpan.End()
 			lg.Warn("depth discarded", "depth", depth+1, "reason", partialReason(err), "candidates", allowed)
@@ -485,25 +542,11 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		_, foldSpan := tr.StartSpan(dctx, telemetry.SpanFold)
 		foldSpan.SetInt("evaluated", allowed)
 		var next []*state
-		for i := 0; i < allowed; i++ {
-			rank.PathsExplored++
-			oc := outcomes[i]
-			if oc.reason != "" {
-				d.countPrune(rank, oc.reason)
-				mx.Inc(telemetry.PrunedCounter(oc.reason))
-				continue
+		for _, oc := range outcomes {
+			rec.fold(oc.child, oc.reason)
+			if oc.reason == "" {
+				next = append(next, oc.child)
 			}
-			rank.Paths = append(rank.Paths, RankedPath{
-				Edges:     oc.child.edges,
-				Score:     computeScore(oc.child.relScores, oc.child.redScores),
-				Features:  oc.child.features,
-				RelScores: oc.child.relScores,
-				RedScores: oc.child.redScores,
-				Quality:   oc.child.quality,
-				Qualities: oc.child.qualities,
-			})
-			prog.AddPathsKept(1)
-			next = append(next, oc.child)
 		}
 		if d.cfg.BeamWidth > 0 && len(next) > d.cfg.BeamWidth {
 			// Beam search: keep the most promising states, judged by the
@@ -513,10 +556,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 				return computeScore(next[i].relScores, next[i].redScores) >
 					computeScore(next[j].relScores, next[j].redScores)
 			})
-			evicted := len(next) - d.cfg.BeamWidth
-			rank.Prune.BeamEvicted += evicted
-			mx.Add(telemetry.PrunedCounter(telemetry.PruneBeamEvicted), int64(evicted))
-			prog.AddPruned(telemetry.PruneBeamEvicted, evicted)
+			rec.prune(telemetry.PruneBeamEvicted, len(next)-d.cfg.BeamWidth)
 			next = next[:d.cfg.BeamWidth]
 		}
 		foldSpan.SetInt("kept", len(next))
@@ -540,16 +580,12 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	rankSpan.SetInt("paths", len(rank.Paths))
 	rankSpan.End()
 
-	rank.PathsPruned = rank.Prune.Discarded()
 	rank.SelectionTime = time.Since(start)
+	rec.flush()
 	if rank.Partial {
-		mx.Inc(telemetry.CtrPartialRuns)
 		runSpan.SetStr("partial_reason", rank.PartialReason)
 		lg.Warn("partial ranking", "reason", rank.PartialReason, "paths", len(rank.Paths))
 	}
-	mx.Add(telemetry.CtrPathsExplored, int64(rank.PathsExplored))
-	mx.Add(telemetry.CtrPathsKept, int64(len(rank.Paths)))
-	mx.SetGauge(telemetry.GaugeSelectionSeconds, rank.SelectionTime.Seconds())
 	prog.SetPhase(obsrv.PhaseRanked)
 	lg.Info("discovery finished",
 		"paths", len(rank.Paths), "explored", rank.PathsExplored,
@@ -558,38 +594,12 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	return rank, nil
 }
 
-// markPartial flags the ranking Partial under reason and mirrors the flag
-// into the live progress tracker. The first cause to fire wins when
-// several stop conditions trigger in one run.
-func markPartial(rank *Ranking, prog *obsrv.RunProgress, reason string) {
-	if !rank.Partial {
-		rank.Partial = true
-		rank.PartialReason = reason
-	}
-	prog.MarkPartial(reason)
-}
-
 // partialReason maps a context error to its Ranking.PartialReason name.
 func partialReason(err error) string {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return "deadline"
 	}
 	return "cancelled"
-}
-
-// countPrune folds one evaluated-join prune reason into the stats.
-func (d *Discovery) countPrune(rank *Ranking, reason string) {
-	switch reason {
-	case telemetry.PruneJoinFailed:
-		rank.Prune.JoinFailed++
-	case telemetry.PruneQualityBelowTau:
-		rank.Prune.QualityBelowTau++
-	case telemetry.PruneCancelled:
-		// Normally unreachable — a cancelled expand implies ctx is done
-		// and the whole depth is discarded before folding — but an
-		// injected joinFn may surface a cancellation of its own.
-		rank.Prune.Cancelled++
-	}
 }
 
 // candidateEdges applies the first pruning strategy (Section IV-C): with

@@ -152,10 +152,11 @@ func TestNilRunProgress(t *testing.T) {
 	p.AddEnumerated(5)
 	p.SetDepthCandidates(5)
 	p.JoinStart()
-	p.JoinDone(telemetry.PruneJoinFailed)
+	p.JoinDone()
+	p.JoinFolded(telemetry.PruneJoinFailed)
+	p.JoinFolded("")
 	p.AddPruned(telemetry.PruneSimilarity, 2)
 	p.AddRowsJoined(100)
-	p.AddPathsKept(1)
 	p.MarkPartial("deadline")
 	p.Finish()
 	if got := p.Snapshot(); got.ID != "" || got.Done {
@@ -178,13 +179,18 @@ func TestRunProgressLifecycle(t *testing.T) {
 	p.AddEnumerated(10)
 	p.SetDepthCandidates(8)
 	p.JoinStart()
-	p.JoinDone("")
+	p.JoinDone()
 	p.JoinStart()
-	p.JoinDone(telemetry.PruneQualityBelowTau)
+	p.JoinDone()
+	// Finished joins count as evaluated only once their depth folds.
+	if st := p.Snapshot(); st.DepthDone != 2 || st.Evaluated != 0 || st.PathsKept != 0 {
+		t.Fatalf("unfolded joins counted: %+v", st)
+	}
+	p.JoinFolded("")
+	p.JoinFolded(telemetry.PruneQualityBelowTau)
 	p.AddPruned(telemetry.PruneSimilarity, 2)
 	p.AddPruned("not_a_reason", 9) // dropped, not counted
 	p.AddRowsJoined(500)
-	p.AddPathsKept(1)
 
 	st := p.Snapshot()
 	if st.ID != "r1" || st.Base != "base" || st.Label != "base.y" {
@@ -193,7 +199,7 @@ func TestRunProgressLifecycle(t *testing.T) {
 	if st.Depth != 1 || st.MaxDepth != 3 || st.Frontier != 1 {
 		t.Fatalf("depth state wrong: %+v", st)
 	}
-	if st.Enumerated != 10 || st.DepthJoins != 8 || st.DepthDone != 2 || st.Evaluated != 2 {
+	if st.Enumerated != 10 || st.DepthJoins != 8 || st.DepthDone != 2 || st.Evaluated != 2 || st.PathsKept != 1 {
 		t.Fatalf("join counters wrong: %+v", st)
 	}
 	if st.Pruned[telemetry.PruneQualityBelowTau] != 1 || st.Pruned[telemetry.PruneSimilarity] != 2 {

@@ -1,6 +1,7 @@
 package obsrv
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,29 +31,6 @@ const (
 	PhaseDone = "done"
 )
 
-// pruneReasons fixes the per-reason counter layout of RunProgress: one
-// atomic cell per telemetry pruning reason, so hot-path increments never
-// touch a map or a lock.
-var pruneReasons = []string{
-	telemetry.PruneSimilarity,
-	telemetry.PruneJoinFailed,
-	telemetry.PruneQualityBelowTau,
-	telemetry.PruneBeamEvicted,
-	telemetry.PruneMaxPathsCap,
-	telemetry.PruneBudgetExhausted,
-	telemetry.PruneCancelled,
-}
-
-// pruneSlot maps a reason name to its cell index (-1 when unknown).
-func pruneSlot(reason string) int {
-	for i, r := range pruneReasons {
-		if r == reason {
-			return i
-		}
-	}
-	return -1
-}
-
 // RunProgress is the lock-cheap live tracker behind the introspection
 // server's /runs/{id} endpoint. The discovery loop updates it from every
 // worker goroutine while HTTP handlers read it concurrently, so the hot
@@ -78,7 +56,7 @@ type RunProgress struct {
 	joinsEnumerated            atomic.Int64
 	joinsEvaluated             atomic.Int64
 	pathsKept                  atomic.Int64
-	pruned                     [7]atomic.Int64 // indexed by pruneSlot
+	pruned                     [len(telemetry.PruneReasons)]atomic.Int64
 	rowsJoined                 atomic.Int64
 
 	workers, workersBusy atomic.Int64
@@ -178,19 +156,30 @@ func (p *RunProgress) JoinStart() {
 	p.workersBusy.Add(1)
 }
 
-// JoinDone marks one join evaluation finished: the worker frees up, the
-// evaluated and per-depth counters advance, and a non-empty prune reason
-// is tallied.
-func (p *RunProgress) JoinDone(pruneReason string) {
+// JoinDone marks one join evaluation finished: the worker frees up and
+// the live per-depth counter advances. Whether the join counts as
+// evaluated is decided when the depth folds (see JoinFolded): a depth
+// discarded by cancellation finishes joins that are never folded.
+func (p *RunProgress) JoinDone() {
 	if p == nil {
 		return
 	}
 	p.workersBusy.Add(-1)
-	p.joinsEvaluated.Add(1)
 	p.depthDone.Add(1)
-	if pruneReason != "" {
-		p.AddPruned(pruneReason, 1)
+}
+
+// JoinFolded counts one evaluated join as folded into the run's result:
+// kept when pruneReason is empty, pruned under pruneReason otherwise.
+func (p *RunProgress) JoinFolded(pruneReason string) {
+	if p == nil {
+		return
 	}
+	p.joinsEvaluated.Add(1)
+	if pruneReason == "" {
+		p.pathsKept.Add(1)
+		return
+	}
+	p.AddPruned(pruneReason, 1)
 }
 
 // AddPruned tallies n prunes under the given telemetry reason. Unknown
@@ -199,7 +188,7 @@ func (p *RunProgress) AddPruned(reason string, n int) {
 	if p == nil || n == 0 {
 		return
 	}
-	if i := pruneSlot(reason); i >= 0 {
+	if i := slices.Index(telemetry.PruneReasons[:], reason); i >= 0 {
 		p.pruned[i].Add(int64(n))
 	}
 }
@@ -210,14 +199,6 @@ func (p *RunProgress) AddRowsJoined(n int64) {
 		return
 	}
 	p.rowsJoined.Add(n)
-}
-
-// AddPathsKept counts paths that survived into the ranking.
-func (p *RunProgress) AddPathsKept(n int) {
-	if p == nil {
-		return
-	}
-	p.pathsKept.Add(int64(n))
 }
 
 // MarkPartial flags the run partial under reason; the first cause wins,
@@ -305,8 +286,8 @@ func (p *RunProgress) Snapshot() RunStatus {
 	st.Enumerated = p.joinsEnumerated.Load()
 	st.Evaluated = p.joinsEvaluated.Load()
 	st.PathsKept = p.pathsKept.Load()
-	st.Pruned = make(map[string]int64, len(pruneReasons))
-	for i, r := range pruneReasons {
+	st.Pruned = make(map[string]int64, len(telemetry.PruneReasons))
+	for i, r := range telemetry.PruneReasons {
 		if v := p.pruned[i].Load(); v > 0 {
 			st.Pruned[r] = v
 		}

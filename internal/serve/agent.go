@@ -150,9 +150,8 @@ func (a *Agent) handleInfo(w http.ResponseWriter, _ *http.Request) {
 // handleReplicaPut stores one replicated job-store snapshot after
 // validating its wire-protocol version.
 func (a *Agent) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+	body, ok := readBody(w, r, maxUploadBody)
+	if !ok {
 		return
 	}
 	var probe struct {

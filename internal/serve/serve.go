@@ -28,7 +28,9 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -279,8 +281,7 @@ func (s *Service) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req lakeCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, maxJSONBody, &req) {
 		return
 	}
 	if req.Dir == "" {
@@ -393,8 +394,7 @@ func (s *Service) handleTableUpsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req tableUpsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, maxUploadBody, &req) {
 		return
 	}
 	if req.Name == "" || (req.CSV == "") == (req.Columnar == "") {
@@ -518,8 +518,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, maxJSONBody, &req) {
 		return
 	}
 	if req.Lake == "" || req.Base == "" || req.Label == "" {
@@ -852,4 +851,40 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError writes a JSON error body with the given status.
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// Request-body caps, shared by the single-node and cluster routes:
+// maxJSONBody bounds JSON control requests, maxUploadBody bounds table
+// uploads and replicated job-store snapshots. maxUploadBody is a
+// variable only so tests can exercise it without a 64 MiB body.
+const maxJSONBody = 1 << 20
+
+var maxUploadBody int64 = 64 << 20
+
+// readBody reads r's body, capped at limit bytes. When the read fails it
+// writes the error response (see bodyOK) and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	return body, bodyOK(w, err, "read body: ")
+}
+
+// decodeBody decodes r's JSON body into v, capped at limit bytes. When
+// decoding fails it writes the error response (see bodyOK) and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	return bodyOK(w, json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v), "bad JSON: ")
+}
+
+// bodyOK reports whether a request body was read cleanly. Otherwise it
+// answers 413 when the body ran over its cap, and 400 with prefix and
+// the error for anything else.
+func bodyOK(w http.ResponseWriter, err error, prefix string) bool {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	case err != nil:
+		writeError(w, http.StatusBadRequest, prefix+err.Error())
+	}
+	return err == nil
 }

@@ -255,7 +255,7 @@ func TestConcurrentJobsShareCaches(t *testing.T) {
 // rankingKey flattens the deterministic parts of a ranking for
 // bit-identical comparison across processes and cache temperatures.
 func rankingKey(r *core.Ranking) string {
-	s := fmt.Sprintf("explored=%d pruned=%d;", r.PathsExplored, r.PathsPruned)
+	s := fmt.Sprintf("explored=%d pruned=%d;", r.PathsExplored, r.Prune.Discarded())
 	for _, p := range r.Paths {
 		s += fmt.Sprintf("%s score=%.17g quality=%.17g features=%v;", p, p.Score, p.Quality, p.Features)
 	}

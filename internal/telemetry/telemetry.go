@@ -267,6 +267,19 @@ const (
 	PruneCancelled = "cancelled"
 )
 
+// PruneReasons lists every pruning reason in report order. It is the one
+// copy of the vocabulary: core.PruneStats and the live obsrv.RunProgress
+// lay their per-reason breakdowns out over it.
+var PruneReasons = [...]string{
+	PruneSimilarity,
+	PruneJoinFailed,
+	PruneQualityBelowTau,
+	PruneBeamEvicted,
+	PruneMaxPathsCap,
+	PruneBudgetExhausted,
+	PruneCancelled,
+}
+
 // PrunedCounter returns the counter name for a pruning reason.
 func PrunedCounter(reason string) string { return CtrPrunedPrefix + reason }
 

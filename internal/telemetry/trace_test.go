@@ -33,12 +33,12 @@ func TestParseTraceparentRejects(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00-abc-def-01",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331", // missing flags
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",      // reserved version
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",      // zero trace
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",      // zero span
-		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",      // non-hex
-		"00x0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",      // bad separator
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",          // missing flags
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // reserved version
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",       // zero trace
+		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",       // zero span
+		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",       // non-hex
+		"00x0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // bad separator
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // wrong length
 	} {
 		if _, ok := ParseTraceparent(bad); ok {
@@ -50,6 +50,33 @@ func TestParseTraceparentRejects(t *testing.T) {
 	if !ok || sc.Trace.String() != "0af7651916cd43dd8448eb211c80319c" || sc.Span.String() != "b7ad6b7169203331" {
 		t.Fatalf("ParseTraceparent(%q) = %+v, %v", good, sc, ok)
 	}
+}
+
+// FuzzParseTraceparent feeds arbitrary inbound traceparent headers to
+// the parser. It must never panic, and any value it accepts must be a
+// valid SpanContext carrying the header's IDs that round-trips through
+// Traceparent. The seed corpus under testdata/fuzz/ holds the headers of
+// the tests above.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, header string) {
+		sc, ok := ParseTraceparent(header)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned %+v", header, sc)
+			}
+			return
+		}
+		if !sc.IsValid() {
+			t.Fatalf("accepted %q as invalid context %+v", header, sc)
+		}
+		if !strings.EqualFold(header[3:35], sc.Trace.String()) || !strings.EqualFold(header[36:52], sc.Span.String()) {
+			t.Fatalf("accepted %q as %s/%s: IDs differ from the header", header, sc.Trace, sc.Span)
+		}
+		back, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || back != sc {
+			t.Fatalf("%q: Traceparent() %q does not round-trip: %+v, %v", header, sc.Traceparent(), back, ok)
+		}
+	})
 }
 
 func TestRemoteParent(t *testing.T) {

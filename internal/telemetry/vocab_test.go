@@ -177,25 +177,41 @@ func TestHistogramBucketsDocumented(t *testing.T) {
 	}
 }
 
-// TestPruneReasonsTracked asserts every Prune* reason round-trips through
+// TestPruneReasonsTracked asserts PruneReasons lists exactly the Prune*
+// constants, each once, and that every reason round-trips through
 // PrunedCounter and back through Snapshot.Pruning, so no reason can be
 // silently dropped from the breakdown.
 func TestPruneReasonsTracked(t *testing.T) {
-	c := New()
-	var reasons []string
+	declared := map[string]bool{}
 	for name, v := range telemetryConsts(t) {
 		if strings.HasPrefix(name, "Prune") {
-			reasons = append(reasons, v)
-			c.Meter().Inc(PrunedCounter(v))
+			declared[v] = true
+		}
+	}
+	c := New()
+	listed := map[string]bool{}
+	for _, r := range PruneReasons {
+		if listed[r] {
+			t.Errorf("reason %q listed twice in PruneReasons", r)
+		}
+		listed[r] = true
+		if !declared[r] {
+			t.Errorf("PruneReasons has %q, which no Prune* constant declares", r)
+		}
+		c.Meter().Inc(PrunedCounter(r))
+	}
+	for r := range declared {
+		if !listed[r] {
+			t.Errorf("Prune* reason %q missing from PruneReasons", r)
 		}
 	}
 	got := c.Snapshot().Pruning()
-	for _, r := range reasons {
+	for r := range declared {
 		if got[r] != 1 {
 			t.Errorf("reason %q lost in Pruning(): %v", r, got)
 		}
 	}
-	if len(got) != len(reasons) {
-		t.Errorf("Pruning() has %d entries, want %d", len(got), len(reasons))
+	if len(got) != len(declared) {
+		t.Errorf("Pruning() has %d entries, want %d", len(got), len(declared))
 	}
 }

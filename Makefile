@@ -82,6 +82,8 @@ docs-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectedMutualInformation$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeColumnar$$' -fuzztime 10s ./internal/frame
 
 # check is the tier-1 verification gate (see ROADMAP.md).
 check: docs-check

@@ -169,7 +169,7 @@ func runServe(args []string) error {
 		addr         = fs.String("addr", "localhost:8080", "listen address")
 		jobs         = fs.Int("jobs", 0, "max concurrently running discovery jobs (0 = GOMAXPROCS)")
 		queue        = fs.Int("queue", 0, "max queued jobs before submissions get 429 (0 = 2x jobs)")
-		jobTimeout   = fs.Duration("job-timeout", 0, "default per-job wall-clock budget (0 = unbounded)")
+		jobTimeout   = fs.Duration("job-timeout", 0, "default and maximum per-job wall-clock budget (0 = unbounded)")
 		drainWait    = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 		enablePprof  = fs.Bool("pprof", true, "mount /debug/pprof/ handlers")
 		logLevel     = fs.String("log-level", "info", "structured log level: debug|info|warn|error (empty = off)")

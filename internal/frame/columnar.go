@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -432,10 +433,26 @@ func decodeColumn(buf []byte, rows, limit int, m colrColMeta) (*Column, error) {
 		}
 		return nil
 	}
+	// NullCount serves the footer's null count, and the encoder writes a
+	// bitmap only when that count is positive, so it must match the
+	// bitmap it describes.
+	nulls := 0
 	if m.ValidOff >= 0 {
 		if err := check(m.ValidOff, (rows+7)/8, "validity"); err != nil {
 			return nil, err
 		}
+		full := rows / 8
+		for _, b := range buf[m.ValidOff : m.ValidOff+full] {
+			nulls += 8 - bits.OnesCount8(b)
+		}
+		for i := full * 8; i < rows; i++ {
+			if !base.valid(i) {
+				nulls++
+			}
+		}
+	}
+	if nulls != m.Nulls {
+		return nil, fmt.Errorf("footer counts %d nulls, validity bitmap holds %d", m.Nulls, nulls)
 	}
 	if m.SketchK < 0 || m.SketchK > 1<<20 {
 		return nil, fmt.Errorf("implausible sketch size %d", m.SketchK)

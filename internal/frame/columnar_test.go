@@ -194,6 +194,12 @@ func TestColumnarMaliciousFooter(t *testing.T) {
 			`{"rows":0,"columns":[{"name":"s","kind":"string","valid_off":-1,"dict_off":5,"dict_len":1099511627776,"data_off":5,"sketch_off":5,"sketch_k":0}]}`),
 		// A valid row whose code exceeds the dictionary must fail the open,
 		// not read as "".
+		// NullCount serves the footer's count: one that disagrees with the
+		// bitmap re-encoded without the bitmap and broke the round trip.
+		"null count below bitmap": craftColumnar(make([]byte, 16),
+			`{"rows":1,"columns":[{"name":"x","kind":"int","nulls":0,"valid_off":5,"data_off":6,"sketch_off":5,"sketch_k":0}]}`),
+		"null count without bitmap": craftColumnar(make([]byte, 16),
+			`{"rows":1,"columns":[{"name":"x","kind":"int","nulls":1,"valid_off":-1,"data_off":6,"sketch_off":5,"sketch_k":0}]}`),
 		"code out of range": craftColumnar(smallDict,
 			`{"rows":1,"columns":[{"name":"s","kind":"string","valid_off":-1,"dict_off":5,"dict_len":1,"data_off":7,"sketch_off":5,"sketch_k":0}]}`),
 	}

@@ -91,7 +91,20 @@ func ReadCSVFile(path string) (*Frame, error) {
 // WriteCSV serialises the frame with a header row. Nulls become empty cells.
 func (f *Frame) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(f.ColumnNames()); err != nil {
+	write := func(rec []string) error {
+		if len(rec) == 1 && rec[0] == "" {
+			// csv.Writer writes a lone empty field as an empty line,
+			// which ReadCSV skips; quoted, the row survives.
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return err
+			}
+			_, err := io.WriteString(w, "\"\"\n")
+			return err
+		}
+		return cw.Write(rec)
+	}
+	if err := write(f.ColumnNames()); err != nil {
 		return err
 	}
 	row := make([]string, f.NumCols())
@@ -99,7 +112,7 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 		for j, c := range f.cols {
 			row[j] = c.FormatCell(i)
 		}
-		if err := cw.Write(row); err != nil {
+		if err := write(row); err != nil {
 			return err
 		}
 	}

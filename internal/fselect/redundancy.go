@@ -38,31 +38,36 @@ type CLM struct {
 // Name implements Redundancy.
 func (m CLM) Name() string { return m.MetricName }
 
-// Select implements Redundancy via greedy Equation-(1) scoring.
+// Select implements Redundancy via greedy Equation-(1) scoring. Every
+// column is discretised, and its code range found, once per call.
 func (m CLM) Select(candidates, selected [][]float64, y []int) ([]int, []float64) {
 	b := bins(m.Bins)
 	sel := discretizeAll(selected, b)
+	yc := stats.NewCodes(y)
 	var accepted []int
 	var scores []float64
+	var buf []int
 	for ci, cand := range candidates {
-		xk := stats.Discretize(cand, b)
-		j := stats.CorrectedMutualInformation(xk, y)
+		xk := stats.DiscretizeCodes(buf, cand, b)
+		j := stats.CorrectedMutualInformationCodes(xk, yc)
 		if len(sel) > 0 {
 			beta := m.Beta(len(sel))
 			lambda := m.Lambda(len(sel))
 			for _, xj := range sel {
 				if beta != 0 {
-					j -= beta * stats.CorrectedMutualInformation(xj, xk)
+					j -= beta * stats.CorrectedMutualInformationCodes(xj, xk)
 				}
 				if lambda != 0 {
-					j += lambda * stats.CorrectedConditionalMutualInformation(xj, xk, y)
+					j += lambda * stats.CorrectedConditionalMutualInformationCodes(xj, xk, yc)
 				}
 			}
 		}
+		buf = xk.Ints()
 		if j > 0 {
 			accepted = append(accepted, ci)
 			scores = append(scores, j)
 			sel = append(sel, xk)
+			buf = nil // xk stays in sel; the next candidate needs its own
 		}
 	}
 	return accepted, scores
@@ -80,36 +85,41 @@ type CMIM struct {
 // Name implements Redundancy.
 func (CMIM) Name() string { return "cmim" }
 
-// Select implements Redundancy.
+// Select implements Redundancy. Like CLM.Select it discretises each
+// column, and finds its code range, once per call.
 func (m CMIM) Select(candidates, selected [][]float64, y []int) ([]int, []float64) {
 	b := bins(m.Bins)
 	sel := discretizeAll(selected, b)
+	yc := stats.NewCodes(y)
 	var accepted []int
 	var scores []float64
+	var buf []int
 	for ci, cand := range candidates {
-		xk := stats.Discretize(cand, b)
-		j := stats.CorrectedMutualInformation(xk, y)
+		xk := stats.DiscretizeCodes(buf, cand, b)
+		j := stats.CorrectedMutualInformationCodes(xk, yc)
 		maxPenalty := 0.0
 		for _, xj := range sel {
-			p := stats.CorrectedMutualInformation(xj, xk) - stats.CorrectedConditionalMutualInformation(xj, xk, y)
+			p := stats.CorrectedMutualInformationCodes(xj, xk) - stats.CorrectedConditionalMutualInformationCodes(xj, xk, yc)
 			if p > maxPenalty {
 				maxPenalty = p
 			}
 		}
 		j -= maxPenalty
+		buf = xk.Ints()
 		if j > 0 {
 			accepted = append(accepted, ci)
 			scores = append(scores, j)
 			sel = append(sel, xk)
+			buf = nil
 		}
 	}
 	return accepted, scores
 }
 
-func discretizeAll(cols [][]float64, b int) [][]int {
-	out := make([][]int, len(cols))
+func discretizeAll(cols [][]float64, b int) []stats.Codes {
+	out := make([]stats.Codes, len(cols))
 	for i, c := range cols {
-		out[i] = stats.Discretize(c, b)
+		out[i] = stats.DiscretizeCodes(nil, c, b)
 	}
 	return out
 }

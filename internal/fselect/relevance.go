@@ -13,6 +13,7 @@ package fselect
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"autofeat/internal/stats"
@@ -35,32 +36,45 @@ type SpearmanRelevance struct{}
 // Name implements Relevance.
 func (SpearmanRelevance) Name() string { return "spearman" }
 
-// Scores implements Relevance. Columns with nulls are ranked over the
-// pairwise-complete rows only (scipy semantics): ranking before NaN
-// deletion would correlate a column's pre-deletion ranks against label
-// ranks computed over all rows. Null-free columns reuse the label ranks
-// computed once for the whole batch.
+// Scores implements Relevance. Each column is ranked against the label
+// over its pairwise-complete rows within the common prefix (scipy
+// semantics): ranking before NaN deletion would correlate a column's
+// pre-deletion ranks against label ranks computed over all rows. The
+// batch shares one scratch; per column the complete rows are gathered
+// once, their values radix-ranked and their labels count-ranked.
 func (SpearmanRelevance) Scores(cols [][]float64, y []int) []float64 {
-	yf := labelFloats(y)
-	yr := stats.Ranks(yf)
+	var s spearmanScratch
 	out := make([]float64, len(cols))
 	for i, c := range cols {
-		if hasNaN(c) {
-			out[i] = math.Abs(stats.Spearman(c, yf))
-		} else {
-			out[i] = math.Abs(stats.Pearson(stats.Ranks(c), yr))
-		}
+		out[i] = math.Abs(s.spearman(c, y))
 	}
 	return out
 }
 
-func hasNaN(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) {
-			return true
+// spearmanScratch holds the buffers one Scores call reuses across its
+// batch.
+type spearmanScratch struct {
+	ranks  stats.RankScratch
+	rows   []int
+	vals   []float64
+	xr, yr []float64
+}
+
+// spearman returns the Spearman correlation of c and y over the rows
+// where c is not null, within their common prefix; it equals
+// stats.Spearman(c, float64(y)) bit for bit.
+func (s *spearmanScratch) spearman(c []float64, y []int) float64 {
+	n := min(len(c), len(y))
+	s.rows, s.vals = slices.Grow(s.rows[:0], n), slices.Grow(s.vals[:0], n)
+	for i, v := range c[:n] {
+		if !math.IsNaN(v) {
+			s.rows = append(s.rows, i)
+			s.vals = append(s.vals, v)
 		}
 	}
-	return false
+	s.xr = stats.RanksInto(s.xr, s.vals, &s.ranks)
+	s.yr = stats.LabelRanks(s.yr, y, s.rows, &s.ranks)
+	return stats.Pearson(s.xr, s.yr)
 }
 
 // PearsonRelevance ranks features by |Pearson correlation| with the label.

@@ -648,8 +648,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	if req.Lake == "" || req.Base == "" || req.Label == "" {
-		writeError(w, http.StatusBadRequest, "lake, base and label are required")
+	if err := req.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if c.store.LakeByID(req.Lake) == nil {

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -74,7 +75,8 @@ type Config struct {
 	// 0 defaults to 2×Workers.
 	QueueDepth int
 	// DefaultTimeout is applied as the per-job core.Config.Timeout when
-	// the request does not set one. 0 leaves jobs unbounded.
+	// the request does not set one, and caps the one it sets. 0 leaves
+	// jobs unbounded.
 	DefaultTimeout time.Duration
 	// Collector, when non-nil, is shared by every served run so the
 	// introspection /metrics endpoint aggregates served traffic.
@@ -476,7 +478,23 @@ type submitRequest struct {
 	BudgetRows     int64   `json:"budget_rows,omitempty"`
 }
 
-// config resolves the request's overrides over core.DefaultConfig.
+// validate rejects a request no job could run: one missing the lake,
+// base or label, or whose timeout_seconds is not a positive number of
+// nanoseconds that fits a time.Duration (0 means the default).
+func (r submitRequest) validate() error {
+	if r.Lake == "" || r.Base == "" || r.Label == "" {
+		return errors.New("lake, base and label are required")
+	}
+	// The comparisons are false for NaN, so it is rejected too.
+	if ns := r.TimeoutSeconds * float64(time.Second); r.TimeoutSeconds != 0 && !(ns >= 1 && ns < math.MaxInt64) {
+		return fmt.Errorf("timeout_seconds %v must be positive and below %.0f", r.TimeoutSeconds, math.MaxInt64/float64(time.Second))
+	}
+	return nil
+}
+
+// config resolves the request's overrides over core.DefaultConfig. A
+// nonzero def is both the default timeout and its cap, and the worker
+// pool is clamped to GOMAXPROCS; neither changes a ranking.
 func (r submitRequest) config(def time.Duration) core.Config {
 	cfg := core.DefaultConfig()
 	if r.Tau > 0 {
@@ -495,7 +513,7 @@ func (r submitRequest) config(def time.Duration) core.Config {
 		cfg.BeamWidth = r.Beam
 	}
 	if r.Workers > 0 {
-		cfg.Workers = r.Workers
+		cfg.Workers = min(r.Workers, runtime.GOMAXPROCS(0))
 	}
 	if r.Seed != 0 {
 		cfg.Seed = r.Seed
@@ -506,6 +524,9 @@ func (r submitRequest) config(def time.Duration) core.Config {
 	cfg.Timeout = def
 	if r.TimeoutSeconds > 0 {
 		cfg.Timeout = time.Duration(r.TimeoutSeconds * float64(time.Second))
+		if def > 0 {
+			cfg.Timeout = min(cfg.Timeout, def)
+		}
 	}
 	cfg.MaxEvalJoins = r.BudgetJoins
 	cfg.MaxJoinedRows = r.BudgetRows
@@ -521,8 +542,8 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxJSONBody, &req) {
 		return
 	}
-	if req.Lake == "" || req.Base == "" || req.Label == "" {
-		writeError(w, http.StatusBadRequest, "lake, base and label are required")
+	if err := req.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.mu.Lock()

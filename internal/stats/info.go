@@ -73,6 +73,39 @@ func codeRange(x []int) (lo, width int, ok bool) {
 	return lo, hi - lo + 1, true
 }
 
+// Codes is a vector of discrete codes together with a range that holds
+// all of its non-negative codes, so a kernel called on many pairs of the
+// same vectors scans each vector's range once rather than once per pair.
+// The range may be wider than the codes present: the dense tables skip
+// empty cells, so a wider range yields the same bits. Build one with
+// NewCodes or DiscretizeCodes; its codes must not change while it is in
+// use.
+type Codes struct {
+	x         []int
+	lo, width int
+	ok        bool // the range fits a dense table (width <= denseCells)
+}
+
+// NewCodes scans x once for the range of its non-negative codes.
+func NewCodes(x []int) Codes {
+	lo, width, ok := codeRange(x)
+	return Codes{x, lo, width, ok}
+}
+
+// codesIn returns x as Codes whose non-negative codes lie in [0, width).
+func codesIn(x []int, width int) Codes {
+	return Codes{x, 0, width, width <= denseCells}
+}
+
+// Ints returns the code vector.
+func (c Codes) Ints() []int { return c.x }
+
+// prefix returns c's first n codes; the range still holds them.
+func (c Codes) prefix(n int) Codes {
+	c.x = c.x[:n]
+	return c
+}
+
 // compact returns x with every non-negative code replaced by its rank
 // among x's distinct non-negative codes, which keeps their order, and
 // every negative code by -1, together with the number of distinct codes.
@@ -114,9 +147,14 @@ func support(counts []int) (k, n int) {
 // prefix.
 func mutualInfo(x, y []int) (mi float64, kx, ky, n int) {
 	x, y = commonPrefix(x, y)
-	lox, wx, okx := codeRange(x)
-	loy, wy, oky := codeRange(y)
-	if !okx || !oky || !fits(max(wx, 1)*max(wy, 1), len(x)) {
+	return mutualInfoCodes(NewCodes(x), NewCodes(y))
+}
+
+// mutualInfoCodes is mutualInfo over codes whose ranges are known.
+func mutualInfoCodes(xc, yc Codes) (mi float64, kx, ky, n int) {
+	x, y := commonPrefix(xc.x, yc.x)
+	lox, wx, loy, wy := xc.lo, xc.width, yc.lo, yc.width
+	if !xc.ok || !yc.ok || !fits(max(wx, 1)*max(wy, 1), len(x)) {
 		return sortedMutualInfo(x, y)
 	}
 	var stack [stackCells]int
@@ -208,9 +246,17 @@ func sortedMutualInfo(x, y []int) (mi float64, kx, ky, n int) {
 // complete rows. Mismatched lengths degrade to the common prefix.
 func condMutualInfo(x, y, z []int) (cmi float64, kx, ky, nxy, kz int) {
 	n := min(len(x), len(y), len(z))
-	x, y, z = x[:n], y[:n], z[:n]
-	_, kx, ky, nxy = mutualInfo(x, y)
-	zr, kz := compact(z)
+	return condMutualInfoCodes(NewCodes(x[:n]), NewCodes(y[:n]), NewCodes(z[:n]))
+}
+
+// condMutualInfoCodes is condMutualInfo over codes whose ranges are
+// known; each stratum keeps x's and y's ranges, which hold its codes.
+func condMutualInfoCodes(xc, yc, zc Codes) (cmi float64, kx, ky, nxy, kz int) {
+	n := min(len(xc.x), len(yc.x), len(zc.x))
+	xc, yc, zc = xc.prefix(n), yc.prefix(n), zc.prefix(n)
+	x, y := xc.x, yc.x
+	_, kx, ky, nxy = mutualInfoCodes(xc, yc)
+	zr, kz := compact(zc.x)
 	start := make([]int, kz+1)
 	for i, s := range zr {
 		if s >= 0 && x[i] >= 0 && y[i] >= 0 {
@@ -231,7 +277,8 @@ func condMutualInfo(x, y, z []int) (cmi float64, kx, ky, nxy, kz int) {
 	}
 	for s := 0; s < kz; s++ {
 		if lo, hi := start[s], start[s+1]; hi > lo {
-			mi, _, _, _ := mutualInfo(gx[lo:hi], gy[lo:hi])
+			xc.x, yc.x = gx[lo:hi], gy[lo:hi]
+			mi, _, _, _ := mutualInfoCodes(xc, yc)
 			cmi += float64(hi-lo) / float64(complete) * mi
 		}
 	}

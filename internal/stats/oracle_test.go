@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -220,6 +222,61 @@ func refDiscretize(x []float64, bins int) []int {
 	return out
 }
 
+// searchDiscretize is the sort-and-search Discretize this package used
+// before the hash-table one: it keeps the sorted distinct levels and
+// binary-searches every row, twice for a discrete column.
+func searchDiscretize(x []float64, bins int) []int {
+	if bins < 2 {
+		bins = 2
+	}
+	var distinct []float64
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range x {
+		if math.IsNaN(v) {
+			continue
+		}
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		if len(distinct) <= bins {
+			if i := searchLevels(distinct, v); i == len(distinct) || distinct[i] != v {
+				distinct = slices.Insert(distinct, i, v)
+			}
+		}
+	}
+	out := make([]int, len(x))
+	if len(distinct) <= bins {
+		for i, v := range x {
+			out[i] = -1
+			if !math.IsNaN(v) {
+				out[i] = searchLevels(distinct, v)
+			}
+		}
+		return out
+	}
+	span := hi - lo
+	for i, v := range x {
+		switch {
+		case math.IsNaN(v):
+			out[i] = -1
+		case span == 0:
+			out[i] = 0
+		default:
+			b := int(float64(bins) * (v - lo) / span)
+			if b >= bins {
+				b = bins - 1
+			}
+			out[i] = b
+		}
+	}
+	return out
+}
+
+// refRanks is the comparison-sort Ranks this package used before the
+// radix sort: it sorts (row, value) pairs and averages each tie group.
 func refRanks(x []float64) []float64 {
 	type iv struct {
 		i int
@@ -231,7 +288,15 @@ func refRanks(x []float64) []float64 {
 			vals = append(vals, iv{i, v})
 		}
 	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+	slices.SortFunc(vals, func(a, b iv) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
 	out := make([]float64, len(x))
 	for i := range out {
 		out[i] = math.NaN()
@@ -328,10 +393,43 @@ func checkAgainstOracle(t *testing.T, x, y, z []int) {
 		{"CorrectedMutualInformation", CorrectedMutualInformation(x, y), refCorrectedMutualInformation(x, y)},
 		{"ConditionalMutualInformation", ConditionalMutualInformation(x, y, z), refConditionalMutualInformation(x, y, z)},
 		{"CorrectedConditionalMutualInformation", CorrectedConditionalMutualInformation(x, y, z), refCorrectedConditionalMutualInformation(x, y, z)},
+		// Ranges of the whole vectors hold their common prefix's codes,
+		// so the Codes forms must agree even when the lengths differ.
+		{"CorrectedMutualInformationCodes", CorrectedMutualInformationCodes(NewCodes(x), NewCodes(y)), refCorrectedMutualInformation(x, y)},
+		{"CorrectedConditionalMutualInformationCodes", CorrectedConditionalMutualInformationCodes(NewCodes(x), NewCodes(y), NewCodes(z)), refCorrectedConditionalMutualInformation(x, y, z)},
 	}
 	for _, p := range pairs {
 		if !sameBits(p.got, p.want) {
 			t.Errorf("%s = %v, oracle %v (len x=%d y=%d z=%d)", p.name, p.got, p.want, len(x), len(y), len(z))
+		}
+	}
+}
+
+// checkDiscretize compares DiscretizeCodes with both Discretize oracles
+// and checks that the range it reports holds every code.
+func checkDiscretize(t *testing.T, x []float64, bins int, buf []int) {
+	t.Helper()
+	c := DiscretizeCodes(buf, x, bins)
+	got := c.Ints()
+	if want := refDiscretize(x, bins); !slices.Equal(got, want) {
+		t.Fatalf("bins=%d x=%v: codes %v, map oracle %v", bins, x, got, want)
+	}
+	if want := searchDiscretize(x, bins); !slices.Equal(got, want) {
+		t.Fatalf("bins=%d x=%v: codes %v, search oracle %v", bins, x, got, want)
+	}
+	checkRangeHolds(t, c)
+}
+
+// checkRangeHolds fails unless every non-negative code of c lies in its
+// range, which must be marked as fitting a dense table when it does.
+func checkRangeHolds(t *testing.T, c Codes) {
+	t.Helper()
+	if c.ok != (c.width <= denseCells) {
+		t.Fatalf("range [%d, %d+%d) marked ok=%v", c.lo, c.lo, c.width, c.ok)
+	}
+	for _, v := range c.x {
+		if v >= 0 && c.ok && (v < c.lo || v >= c.lo+c.width) {
+			t.Fatalf("code %d outside range [%d, %d)", v, c.lo, c.lo+c.width)
 		}
 	}
 }
@@ -351,48 +449,193 @@ func TestDiscretizeMatchesMapOracle(t *testing.T) {
 		{"zero-floor", func() float64 { return []float64{negZero, 0, rng.Float64()}[rng.Intn(3)] }},
 		{"zero-ceiling", func() float64 { return []float64{0, negZero, -rng.Float64()}[rng.Intn(3)] }},
 		{"nan-heavy", func() float64 { return []float64{math.NaN(), 1, 2, rng.Float64()}[rng.Intn(4)] }},
+		{"all-nan", math.NaN},
+		{"constant", func() float64 { return 4.5 }},
 		{"integer-codes", func() float64 { return float64(rng.Intn(12)) }},
+		{"many-levels", func() float64 { return float64(rng.Intn(70)) }},
 	}
+	var buf []int // reused, as CLM.Select reuses a rejected candidate's codes
 	for _, d := range draws {
 		for _, n := range []int{0, 1, 5, 11, 12, 500} {
-			for _, bins := range []int{0, 2, DefaultBins, 11, 64} {
+			for _, bins := range []int{-3, 0, 2, DefaultBins, 11, 64, 1 << 17} {
 				x := make([]float64, n)
 				for i := range x {
 					x[i] = d.draw()
 				}
-				got, want := Discretize(x, bins), refDiscretize(x, bins)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s n=%d bins=%d: code[%d] = %d, oracle %d", d.name, n, bins, i, got[i], want[i])
-					}
-				}
+				checkDiscretize(t, x, bins, buf)
+				buf = make([]int, rng.Intn(600))
 			}
 		}
 	}
 }
 
+// rankDraws are the value mixes the rank kernels are checked on: ties,
+// both zeros, infinities, NaN, and keys that differ only in low bytes.
+func rankDraws(rng *rand.Rand) []struct {
+	name string
+	draw func() float64
+} {
+	negZero := math.Copysign(0, -1)
+	special := []float64{negZero, 0, math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, math.SmallestNonzeroFloat64, -math.MaxFloat64}
+	return []struct {
+		name string
+		draw func() float64
+	}{
+		{"continuous", rng.NormFloat64},
+		{"ties", func() float64 { return float64(rng.Intn(3)) }},
+		{"wide-ties", func() float64 { return float64(rng.Intn(40)) - 20 }},
+		{"distinct-ints", func() float64 { return float64(rng.Intn(1 << 30)) }},
+		{"specials", func() float64 { return special[rng.Intn(len(special))] }},
+		{"signed-zeros", func() float64 { return []float64{negZero, 0}[rng.Intn(2)] }},
+		{"low-bits", func() float64 { return math.Float64frombits(0x3ff0000000000000 | uint64(rng.Intn(300))) }},
+		{"nan-some", func() float64 { return []float64{math.NaN(), rng.Float64(), -rng.Float64()}[rng.Intn(3)] }},
+		{"all-nan", math.NaN},
+		{"constant", func() float64 { return -7.25 }},
+	}
+}
+
 func TestRanksMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, n := range []int{0, 1, 2, 50, 3000} {
-		for _, ties := range []int{1, 3, 40, 1 << 30} {
+	var s RankScratch // shared across every case, as a Scores batch shares it
+	var out []float64
+	for _, d := range rankDraws(rng) {
+		for _, n := range []int{0, 1, 2, 50, 3000} {
 			x := make([]float64, n)
 			for i := range x {
-				x[i] = float64(rng.Intn(ties))
-				if rng.Intn(8) == 0 {
-					x[i] = math.NaN()
-				}
-				if rng.Intn(16) == 0 {
-					x[i] = math.Copysign(0, -1)
+				x[i] = d.draw()
+			}
+			want := refRanks(x)
+			got := Ranks(x)
+			out = RanksInto(out, x, &s)
+			for i := range want {
+				if !sameBits(got[i], want[i]) || !sameBits(out[i], want[i]) {
+					t.Fatalf("%s n=%d: rank[%d] = %v (into scratch %v), oracle %v", d.name, n, i, got[i], out[i], want[i])
 				}
 			}
-			got, want := Ranks(x), refRanks(x)
-			for i := range want {
-				if !sameBits(got[i], want[i]) {
-					t.Fatalf("n=%d ties=%d: rank[%d] = %v, oracle %v", n, ties, i, got[i], want[i])
-				}
+			if len(got) != n || len(out) != n {
+				t.Fatalf("%s n=%d: %d and %d ranks", d.name, n, len(got), len(out))
 			}
 		}
 	}
+}
+
+// checkLabelRanks compares LabelRanks with the sort oracle over the
+// labels converted to float64.
+func checkLabelRanks(t *testing.T, y, rows []int, out []float64, s *RankScratch) []float64 {
+	t.Helper()
+	f := make([]float64, len(rows))
+	for k, r := range rows {
+		f[k] = float64(y[r])
+	}
+	want := refRanks(f)
+	out = LabelRanks(out, y, rows, s)
+	if len(out) != len(rows) {
+		t.Fatalf("%d ranks for %d rows", len(out), len(rows))
+	}
+	for k := range want {
+		if !sameBits(out[k], want[k]) {
+			t.Fatalf("rank[%d] of label %d = %v, oracle %v", k, y[rows[k]], out[k], want[k])
+		}
+	}
+	return out
+}
+
+func TestLabelRanksMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	kinds := slices.Concat(codeKinds, []codeKind{
+		{"beyond-float", func(rng *rand.Rand) int { return 1<<60 + rng.Intn(5) }},
+		{"min-int", func(rng *rand.Rand) int { return []int{math.MinInt, 0, math.MaxInt}[rng.Intn(3)] }},
+		{"constant", func(*rand.Rand) int { return -3 }},
+	})
+	var s RankScratch
+	var out []float64
+	for _, n := range []int{0, 1, 2, 7, 100, 2000} {
+		for _, k := range kinds {
+			y := drawCodes(rng, k, n)
+			var rows []int // a random subset, as a nulled column selects
+			for i := range y {
+				if rng.Intn(4) != 0 {
+					rows = append(rows, i)
+				}
+			}
+			out = checkLabelRanks(t, y, rows, out, &s)
+			all := make([]int, n)
+			for i := range all {
+				all[i] = i
+			}
+			out = checkLabelRanks(t, y, all, out, &s)
+			if t.Failed() {
+				t.Fatalf("n=%d labels=%s", n, k.name)
+			}
+		}
+	}
+}
+
+func TestRankKernelsAllocateNothingWarm(t *testing.T) {
+	x, _ := discretizedPair(2000)
+	vals := make([]float64, len(x))
+	rows := make([]int, len(x))
+	for i := range x {
+		vals[i] = float64(x[i]) + 0.5*math.Sin(float64(i))
+		rows[i] = i
+	}
+	var s RankScratch
+	out := RanksInto(nil, vals, &s)
+	lab := LabelRanks(nil, x, rows, &s)
+	if allocs := testing.AllocsPerRun(20, func() {
+		out = RanksInto(out, vals, &s)
+		lab = LabelRanks(lab, x, rows, &s)
+	}); allocs != 0 {
+		t.Fatalf("warm RanksInto+LabelRanks allocate %v times per call, want 0", allocs)
+	}
+}
+
+// FuzzSelectionKernels checks Ranks, LabelRanks and Discretize against
+// their oracles on arbitrary input. Each 8 bytes of raw are one float64
+// bit pattern, so NaN payloads, both zeros, infinities and subnormals are
+// reached; with ties set each byte instead picks one of a few values, so
+// tie groups are large. Each byte of labels is one signed label scaled
+// by 1<<shift, which reaches labels too wide for a counting table and
+// beyond float64's exact integers. The seed corpus is under
+// testdata/fuzz.
+func FuzzSelectionKernels(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw, labels []byte, ties bool, shift uint8) {
+		var x []float64
+		if ties {
+			levels := []float64{math.Copysign(0, -1), 0, 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 2.5}
+			for _, b := range raw {
+				x = append(x, levels[int(b)%len(levels)])
+			}
+		} else {
+			for i := 0; i+8 <= len(raw); i += 8 {
+				x = append(x, math.Float64frombits(binary.LittleEndian.Uint64(raw[i:])))
+			}
+		}
+		want := refRanks(x)
+		got := Ranks(x)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("Ranks(%v)[%d] = %v, oracle %v", x, i, got[i], want[i])
+			}
+		}
+		for _, bins := range []int{2, DefaultBins, int(shift)} {
+			checkDiscretize(t, x, bins, nil)
+		}
+		y := make([]int, len(labels))
+		for i, b := range labels {
+			y[i] = int(int8(b)) << (shift % 64)
+		}
+		// Rank the labels over the rows a Spearman score keeps: the
+		// common prefix's non-NaN rows of x.
+		var rows []int
+		for i := range min(len(x), len(y)) {
+			if !math.IsNaN(x[i]) {
+				rows = append(rows, i)
+			}
+		}
+		var s RankScratch
+		checkLabelRanks(t, y, rows, nil, &s)
+	})
 }
 
 // FuzzCorrectedMutualInformation checks the dense MI kernels against the
@@ -443,6 +686,14 @@ func TestCorrectedMutualInformationAllocatesNothing(t *testing.T) {
 	x, y := discretizedPair(2000)
 	if allocs := testing.AllocsPerRun(50, func() { miSink = CorrectedMutualInformation(x, y) }); allocs != 0 {
 		t.Fatalf("CorrectedMutualInformation allocates %v times per call, want 0", allocs)
+	}
+}
+
+func TestCorrectedMutualInformationCodesAllocatesNothing(t *testing.T) {
+	x, y := discretizedPair(2000)
+	xc, yc := NewCodes(x), NewCodes(y)
+	if allocs := testing.AllocsPerRun(50, func() { miSink = CorrectedMutualInformationCodes(xc, yc) }); allocs != 0 {
+		t.Fatalf("CorrectedMutualInformationCodes allocates %v times per call, want 0", allocs)
 	}
 }
 

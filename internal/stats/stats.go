@@ -10,6 +10,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -79,50 +80,6 @@ func Pearson(x, y []float64) float64 {
 	r := cov / math.Sqrt(vx*vy)
 	// Guard against floating point drift outside [-1, 1].
 	return math.Max(-1, math.Min(1, r))
-}
-
-// Ranks returns the fractional (average) ranks of x in [1, n], assigning
-// tied values the mean of the ranks they span. NaN entries receive NaN
-// ranks, so downstream Pearson skips them.
-func Ranks(x []float64) []float64 {
-	type iv struct {
-		i int
-		v float64
-	}
-	vals := make([]iv, 0, len(x))
-	for i, v := range x {
-		if !math.IsNaN(v) {
-			vals = append(vals, iv{i, v})
-		}
-	}
-	slices.SortFunc(vals, func(a, b iv) int {
-		// Plain comparisons: NaN never reaches the sort, and cmp.Compare
-		// would pay for its NaN ordering on every comparison.
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		}
-		return 0
-	})
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	for i := 0; i < len(vals); {
-		j := i
-		for j < len(vals) && vals[j].v == vals[i].v {
-			j++
-		}
-		// average rank for the tie group [i, j)
-		avg := (float64(i+1) + float64(j)) / 2
-		for k := i; k < j; k++ {
-			out[vals[k].i] = avg
-		}
-		i = j
-	}
-	return out
 }
 
 // Spearman returns the Spearman rank correlation coefficient: Pearson
@@ -210,16 +167,40 @@ const DefaultBins = 10
 // (≤ bins) keep one code per level, so already-discrete features are not
 // distorted.
 func Discretize(x []float64, bins int) []int {
+	return DiscretizeCodes(nil, x, bins).Ints()
+}
+
+// DiscretizeCodes is Discretize writing into out, which it reallocates
+// when shorter than x. It returns the codes with their range, which
+// binning knows without a scan: codes lie in [0, bins) or, for a
+// discrete column, in [0, levels).
+func DiscretizeCodes(out []int, x []float64, bins int) Codes {
 	if bins < 2 {
 		bins = 2
 	}
-	// distinct holds the sorted distinct values seen, up to bins+1 of them:
-	// one more than bins already marks the column as continuous.
-	var stack [DefaultBins + 1]float64
-	distinct := stack[:0]
+	out = resize(out, len(x))
+	// The first pass looks every value up in a hash table of the distinct
+	// levels seen, while there are at most bins of them, and codes its row
+	// with the level's id: the order in which the level was first seen.
+	// If the column stays discrete, one lookup per row turns ids into
+	// the codes of the sorted levels.
+	var levelStack [32]level // a power of two, at least 2*DefaultBins
+	size := len(levelStack)
+	for size < 2*min(bins, len(x)) {
+		size *= 2
+	}
+	slots := resize(levelStack[:0], size)
+	for i := range slots {
+		slots[i].id = -1
+	}
+	shift, mask := 64-bits.TrailingZeros(uint(size)), uint64(size-1)
+	var distinctStack [DefaultBins]float64
+	distinct := distinctStack[:0] // in first-seen order
+	discrete := true
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range x {
+	for i, v := range x {
 		if math.IsNaN(v) {
+			out[i] = -1
 			continue
 		}
 		// Plain comparisons, unlike math.Min/Max, may keep +0 over -0 as
@@ -230,22 +211,43 @@ func Discretize(x []float64, bins int) []int {
 		if v > hi {
 			hi = v
 		}
-		if len(distinct) <= bins {
-			if i := searchLevels(distinct, v); i == len(distinct) || distinct[i] != v {
-				distinct = slices.Insert(distinct, i, v)
+		if !discrete {
+			continue
+		}
+		// v+0 is +0 for either zero, so the two zeros, which are one
+		// level, hash alike.
+		for h := math.Float64bits(v+0) * 0x9E3779B97F4A7C15 >> shift; ; h = (h + 1) & mask {
+			e := &slots[h]
+			if e.id < 0 {
+				if len(distinct) == bins {
+					discrete = false // one level more than bins: continuous
+					break
+				}
+				e.v, e.id = v, len(distinct)
+				distinct = append(distinct, v)
+			}
+			if e.v == v {
+				out[i] = e.id
+				break
 			}
 		}
 	}
-	out := make([]int, len(x))
-	if len(distinct) <= bins {
+	if discrete {
 		// Already discrete: stable code per sorted distinct value.
-		for i, v := range x {
-			out[i] = -1
-			if !math.IsNaN(v) {
-				out[i] = searchLevels(distinct, v)
+		var sortedStack [DefaultBins]float64
+		sorted := append(sortedStack[:0], distinct...)
+		slices.Sort(sorted)
+		var codeStack [DefaultBins]int
+		code := resize(codeStack[:0], len(distinct))
+		for id, v := range distinct {
+			code[id] = searchLevels(sorted, v)
+		}
+		for i, c := range out {
+			if c >= 0 {
+				out[i] = code[c]
 			}
 		}
-		return out
+		return codesIn(out, len(distinct))
 	}
 	span := hi - lo
 	for i, v := range x {
@@ -262,7 +264,14 @@ func Discretize(x []float64, bins int) []int {
 			out[i] = b
 		}
 	}
-	return out
+	return codesIn(out, bins)
+}
+
+// level is one slot of DiscretizeCodes' hash table: a distinct value and
+// its first-seen order, or id -1 for an empty slot.
+type level struct {
+	v  float64
+	id int
 }
 
 // searchLevels returns the index of the first of the sorted levels that
@@ -328,7 +337,17 @@ func MutualInformation(x, y []int) float64 {
 // pairs are compared (the MRMR penalty term sums exactly such pairs).
 // Clamped at zero. Mismatched lengths degrade to the common prefix.
 func CorrectedMutualInformation(x, y []int) float64 {
-	mi, kx, ky, n := mutualInfo(x, y)
+	return correctMI(mutualInfo(x, y))
+}
+
+// CorrectedMutualInformationCodes is CorrectedMutualInformation over
+// codes whose ranges were computed once, for callers that pair the same
+// vectors many times.
+func CorrectedMutualInformationCodes(x, y Codes) float64 {
+	return correctMI(mutualInfoCodes(x, y))
+}
+
+func correctMI(mi float64, kx, ky, n int) float64 {
 	if n == 0 {
 		return 0
 	}
@@ -345,7 +364,17 @@ func CorrectedMutualInformation(x, y []int) float64 {
 // the rows with x and y present and kz the strata with z present.
 // Clamped at zero. Mismatched lengths degrade to the common prefix.
 func CorrectedConditionalMutualInformation(x, y, z []int) float64 {
-	cmi, kx, ky, n, kz := condMutualInfo(x, y, z)
+	return correctCMI(condMutualInfo(x, y, z))
+}
+
+// CorrectedConditionalMutualInformationCodes is
+// CorrectedConditionalMutualInformation over codes whose ranges were
+// computed once.
+func CorrectedConditionalMutualInformationCodes(x, y, z Codes) float64 {
+	return correctCMI(condMutualInfoCodes(x, y, z))
+}
+
+func correctCMI(cmi float64, kx, ky, n, kz int) float64 {
 	if n == 0 || kz == 0 {
 		return 0
 	}
